@@ -228,3 +228,23 @@ def test_dephase_output_is_byte_stable(tmp_path):
 def test_dephase_rejects_bad_trials(tmp_path):
     path = write_config(tmp_path, dephase_config(trials=1))
     assert cli.main(["dephase", "--config", path]) == cli.EXIT_CONFIG
+
+
+# -- golden output -----------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "flux_transmon_n3"),
+    ("sweep", "sweep_n2"),
+    ("dephase", "dephase_pair"),
+])
+def test_reference_config_output_matches_golden(tmp_path, command, config):
+    # The CLI output is the behavioural contract.  A golden is regenerated with
+    #   ghzdfs COMMAND --config configs/CONFIG.cfg --seed 0 --out tests/data/COMMAND-CONFIG-seed0.csv
+    # and only together with a note of every changed byte.
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(CONFIG_DIR / f"{config}.cfg"),
+                     "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{command}-{config}-seed0.csv").read_bytes()
