@@ -24,6 +24,9 @@ Recognized keys::
     sweep.ratios = 5, 10, 20              (at least two)
     dephase.sigmas, dephase.trials, dephase.model, dephase.couplings
 
+A register whose state vector would exceed ``MAX_STATE_BYTES`` (256 MiB,
+so n <= 4) is a configuration error.
+
 Exit codes: 0 success, 1 simulation failure, 2 configuration error.  Output
 is byte-stable: the same config and seed always produce identical files.
 """
@@ -34,6 +37,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,6 +61,11 @@ from .protocol import (
 EXIT_OK = 0
 EXIT_SIMULATION = 1
 EXIT_CONFIG = 2
+
+# Largest full-register state vector a config may ask for: n = 4 at cutoff 2
+# needs 25.5 MB, n = 5 needs 689 MB and is refused at any cutoff.
+MAX_STATE_BYTES = 256 * 2**20
+_AMPLITUDE_BYTES = 16
 
 
 class ConfigError(ValueError):
@@ -179,7 +188,7 @@ def resolve_params(entries: dict[str, str]) -> ProtocolParams:
                 CouplingParams(deltap=kwargs["delta"], **kwargs), m, k)
         else:
             coupling = CouplingParams(deltap=parse_quantity(deltap_raw), **kwargs)
-        return ProtocolParams(
+        params = ProtocolParams(
             n=n,
             coupling=coupling,
             m=m,
@@ -195,6 +204,24 @@ def resolve_params(entries: dict[str, str]) -> ProtocolParams:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _require_register_fits(params)
+    return params
+
+
+def _require_register_fits(params: ProtocolParams) -> None:
+    """Refuse a register whose state vector would exceed MAX_STATE_BYTES.
+
+    The 3n qutrits and the cavity give 3^(3n) (cutoff + 1) amplitudes.  The
+    comparison runs in logarithms so a huge n costs nothing to reject.
+    """
+    log_bytes = (3 * params.n * math.log(3)
+                 + math.log(_AMPLITUDE_BYTES * (params.fock_cutoff + 1)))
+    if log_bytes > math.log(MAX_STATE_BYTES):
+        raise ConfigError(
+            f"protocol.n = {params.n} with fock_cutoff = {params.fock_cutoff} needs "
+            f"3^{3 * params.n} * {params.fock_cutoff + 1} amplitudes per state vector, "
+            f"over the {MAX_STATE_BYTES // 2**20} MiB limit"
+        )
 
 
 def resolve_coefficients(entries: dict[str, str], seed: int) -> list[GhzCoefficients]:
@@ -335,7 +362,8 @@ def cmd_sweep(entries: dict[str, str], args: argparse.Namespace) -> list[dict]:
     mode = args.mode or "full"
     jobs = [(base, coeffs_list[0], ratio, mode, args.seed) for ratio in ratios]
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        workers = min(len(jobs), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_point_star, jobs))
     except (OSError, PermissionError):  # restricted environments: run in-process
         records = [_sweep_point_star(job) for job in jobs]

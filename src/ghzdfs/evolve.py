@@ -1,24 +1,35 @@
-"""State propagation: exponential action, adaptive time-ordered integration,
-and a closed-form oracle for the diagonal Stark-shift dynamics.
+"""State propagation: local unitaries applied on tensor axes, exponential
+action, adaptive time-ordered integration, and the closed-form diagonal
+Stark-shift dynamics.
 
-``evolve_static`` applies exp(-i H t) through sparse matrix-exponential
-action (no dense exponential is ever formed; the register at n = 3 is
-59049-dimensional).  ``evolve_timedep`` integrates the Schroedinger equation
-for an explicitly time-dependent Hamiltonian with an adaptive high-order
-Runge-Kutta scheme, keeping the oscillating interaction-picture phases in
-the Hamiltonian rather than transforming them away.
+Every operation of the ideal protocol acts on a few subsystems only.
+``apply_local`` applies a dense matrix on the listed subsystems' axes of
+``StateVector.as_tensor()`` and never forms an operator on the whole
+register; ``evolve_local`` exponentiates a small local Hamiltonian densely
+and applies it that way.  ``analytic_reduced_evolution`` gives the
+dispersive hold as a closed-form phase built from per-axis factors.
+
+``evolve_static`` applies exp(-i H t) for a full-register sparse H through
+matrix-exponential action (no dense exponential is formed; the register at
+n = 3 is 59049-dimensional).  It is the oracle for the local path.
+``evolve_timedep`` integrates the Schroedinger equation for an explicitly
+time-dependent Hamiltonian with an adaptive high-order Runge-Kutta scheme,
+keeping the oscillating interaction-picture phases in the Hamiltonian
+rather than transforming them away.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, RK45
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .hilbert import Level, Role, StateVector
+from .hilbert import Level, Role, StateVector, vector_norm
 from .operators import CouplingParams, OperatorMatrix, OscillatingHamiltonian, \
     dispersive_positions
 
@@ -51,7 +62,7 @@ class IntegratorConfig:
 
 
 def _check_norm(amps: np.ndarray, context: str) -> np.ndarray:
-    nrm = float(np.linalg.norm(amps))
+    nrm = vector_norm(amps)
     if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
         raise RuntimeError(
             f"{context}: norm drifted to {nrm} (beyond {_NORM_DRIFT_TOL}); "
@@ -156,25 +167,88 @@ def analytic_reduced_evolution(params: CouplingParams, t: float,
 
     Each basis component gains exp(+i (lam N_op + lam' N_mem) q t), where q
     is its photon number and N_op / N_mem count |e> occupations among the
-    dispersively coupled operation / memory qutrits.  Serves as the
-    independent oracle for propagation under the reduced Hamiltonian; only
-    valid when those qutrits carry no |f> population.
+    dispersively coupled operation / memory qutrits.  The rate is a sum of
+    per-qutrit terms, so it is assembled by broadcasting one factor per
+    tensor axis and never spans the resonant qutrits' axes.  A negative t
+    runs the hold backwards.  Only valid when the dispersive qutrits carry
+    no |f> population, which is checked.
     """
     space = psi.space
-    ops_and_mems = dispersive_positions(space)
-    probs = np.abs(psi.amplitudes) ** 2
-    rate = np.zeros(space.total_dim)
+    tensor = psi.as_tensor()
+    probs = np.abs(tensor) ** 2
+    rate: np.ndarray | float = 0.0
     f_weight = 0.0
-    for pos in ops_and_mems:
-        labels = space.label_array(pos)
-        f_weight += float(probs[labels == int(Level.F)].sum())
+    for pos in dispersive_positions(space):
+        axis = psi.axis(pos)
+        f_weight += float(np.take(probs, int(Level.F), axis=axis).sum())
         group_rate = params.lam if space.subsystems[pos].role is Role.OPERATION else params.lamp
-        rate += group_rate * (labels == int(Level.E))
+        rate = rate + group_rate * _along(space.size, axis, np.arange(3) == int(Level.E))
     if f_weight > 1e-12:
         raise ValueError(
             f"dispersive qutrits carry |f> population {f_weight:.3e}; "
             "the reduced dynamics does not apply"
         )
-    photon = space.label_array(space.cavity)
+    if t == 0:
+        return psi
+    photon = _along(space.size, psi.axis(space.cavity), np.arange(space.cavity_dim))
     phases = np.exp(1j * t * rate * photon)
-    return StateVector(space, phases * psi.amplitudes)
+    return StateVector(space, _check_norm((phases * tensor).reshape(-1),
+                                          "analytic_reduced_evolution"))
+
+
+def _along(ndim: int, axis: int, values: np.ndarray) -> np.ndarray:
+    """``values`` laid along one axis of an ndim-dimensional broadcast shape."""
+    shape = [1] * ndim
+    shape[axis] = values.size
+    return values.reshape(shape)
+
+
+def apply_local(psi: StateVector, matrix: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Amplitudes of (matrix on ``positions``, identity elsewhere)|psi>.
+
+    ``matrix`` acts on the product of the listed subsystems, the first listed
+    being the most significant factor (as in ``np.kron``).  Each output slice
+    of those axes is the sum of the input slices over the nonzero entries of
+    its row, so the work scales with the state size times the nonzeros per
+    row and no full-register operator exists.  Elementwise slice arithmetic
+    also keeps the large arrays out of BLAS, whose threading costs more than
+    it saves on vectors of this size.
+    """
+    space = psi.space
+    if len(set(positions)) != len(positions) or not all(0 <= p < space.size for p in positions):
+        raise ValueError(f"positions {tuple(positions)} must be distinct subsystems of the space")
+    dims = tuple(space.dims[p] for p in positions)
+    if matrix.shape != (math.prod(dims),) * 2:
+        raise ValueError(f"matrix shape {matrix.shape} does not match subsystem dims {dims}")
+    tensor = psi.as_tensor()
+    out = np.empty_like(tensor)
+    slices = []
+    for digits in np.ndindex(*dims):
+        index: list[object] = [slice(None)] * tensor.ndim
+        for pos, digit in zip(positions, digits):
+            index[psi.axis(pos)] = digit
+        slices.append(tuple(index))
+    for row, at in enumerate(slices):
+        target = out[at]
+        cols = np.flatnonzero(matrix[row])
+        if cols.size == 0:
+            target[...] = 0.0
+            continue
+        np.multiply(tensor[slices[cols[0]]], matrix[row, cols[0]], out=target)
+        for col in cols[1:]:
+            target += matrix[row, col] * tensor[slices[col]]
+    return out.reshape(-1)
+
+
+def evolve_local(H: np.ndarray, t: float, psi: StateVector,
+                 positions: Sequence[int]) -> StateVector:
+    """exp(-i H t)|psi> for a Hamiltonian acting only on ``positions``.
+
+    ``H`` is the dense matrix on those subsystems in ``apply_local`` order.
+    Its exponential is formed densely (a few dozen rows at most) and applied
+    on the state's tensor axes.  Same norm-drift check as ``evolve_static``.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative; invert by negating the Hamiltonian")
+    out = apply_local(psi, expm(-1j * t * H), positions)
+    return StateVector(psi.space, _check_norm(out, "evolve_local"))

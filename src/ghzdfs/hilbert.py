@@ -185,6 +185,16 @@ def build_space(n: int, fock_cutoff: int, active_only: bool = False) -> HilbertS
 _NORM_GUARD = 1e-6
 
 
+def vector_norm(amplitudes: np.ndarray) -> float:
+    """Euclidean norm of a complex amplitude vector.
+
+    Summed by einsum over the real view rather than by BLAS: a threaded BLAS
+    dot costs more than it saves on vectors of register size.
+    """
+    flat = np.ascontiguousarray(amplitudes, dtype=np.complex128).view(np.float64)
+    return math.sqrt(float(np.einsum("i,i->", flat, flat)))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitude vector over a HilbertSpace.
@@ -201,7 +211,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.space.total_dim},)"
             )
-        nrm = float(np.linalg.norm(amps))
+        nrm = vector_norm(amps)
         if abs(nrm - 1.0) > _NORM_GUARD:
             raise ValueError(f"state vector norm {nrm} is not 1 within {_NORM_GUARD}")
         amps.setflags(write=False)
@@ -209,7 +219,7 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return vector_norm(self.amplitudes)
 
     def as_tensor(self) -> np.ndarray:
         """View shaped (cavity, ..., first qutrit): axis k holds subsystem size-1-k."""
@@ -227,7 +237,7 @@ class StateVector:
 def normalized(space: HilbertSpace, amplitudes: np.ndarray) -> StateVector:
     """StateVector from an unnormalized amplitude vector (rescaled to unit norm)."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    nrm = np.linalg.norm(amps)
+    nrm = vector_norm(amps)
     if nrm == 0:
         raise ValueError("cannot normalize the zero vector")
     return StateVector(space, amps / nrm)

@@ -21,6 +21,12 @@ coupling ``mu`` and detuning ``delta``, and
 Classical pulses are modeled as instantaneous single-qutrit unitaries with
 a fixed real phase convention (drive phases are free parameters, so any
 consistent choice works for encoding and decoding).
+
+The sparse builders here embed each term in the whole register (3^(3n)
+times the cavity dimension rows).  The protocol itself runs on the local
+factors (``PULSE_MATRICES``, ``resonant_local``) and on the closed-form
+Stark phase; the full-register forms of the pulse, resonant and reduced
+operators serve as independent oracles for that path.
 """
 
 from __future__ import annotations
@@ -198,6 +204,21 @@ def resonant_jc(space: HilbertSpace, qubit: int, coupling: float) -> OperatorMat
     term = embed(space, {qubit: qutrit_projector(Level.E, Level.F), cav: creation(dim_c)})
     mat = coupling * (term + term.conjugate().T)
     return OperatorMatrix(space, mat.tocsr(), hermitian=True)
+
+
+def resonant_local(cavity_dim: int, coupling: float) -> np.ndarray:
+    """The two-body matrix of ``resonant_jc`` on (cavity, qutrit) alone.
+
+    Dense and 3 * cavity_dim square, with the cavity as the more significant
+    factor; ``resonant_jc`` is this matrix embedded in the full register.
+    """
+    if coupling <= 0:
+        raise ValueError("coupling must be positive")
+    a_dag = np.diag(np.sqrt(np.arange(1.0, cavity_dim)), -1)
+    ef = np.zeros((3, 3))
+    ef[Level.E, Level.F] = 1.0
+    term = np.kron(a_dag, ef)
+    return coupling * (term + term.T)
 
 
 def _dispersive_positions(space: HilbertSpace) -> tuple[list[int], list[int]]:

@@ -15,6 +15,15 @@ one resonant swap that deposits the photon on memory qutrit a_1.
 
 Pulses and cavity retuning are treated as instantaneous ideal operations;
 their durations tau_p and tau_d enter the total-time bookkeeping only.
+
+Every step runs locally on the tensor axes of the state (see ``evolve``):
+each pulse block as one fused 3x3 unitary per addressed qutrit, each
+resonant swap as the exact two-body unitary on the (cavity, qutrit) axes,
+and the ideal hold as the closed-form Stark phase.  The inverse transfer
+applies the adjoints of the same factors in reverse order.  Only the
+full-mode hold integrates a Hamiltonian, on the active register.  The
+sparse full-register builders of ``operators`` are not used here; the tests
+hold this path against them.
 """
 
 from __future__ import annotations
@@ -27,7 +36,13 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .evolve import IntegratorConfig, evolve_static, evolve_timedep
+from .evolve import (
+    IntegratorConfig,
+    analytic_reduced_evolution,
+    apply_local,
+    evolve_local,
+    evolve_timedep,
+)
 from .hilbert import (
     HilbertSpace,
     Level,
@@ -40,16 +55,18 @@ from .hilbert import (
     product_state,
 )
 from .operators import (
+    PULSE_MATRICES,
     CouplingParams,
-    OperatorMatrix,
     OscillatingHamiltonian,
     PulseKind,
     dispersive_positions,
-    dispersive_reduced,
     oscillating_dispersive,
-    pulse_unitary,
-    resonant_jc,
+    resonant_local,
 )
+
+# Unused here; bound because perfbench/tracing.py patches these names on this module.
+from .evolve import evolve_static  # noqa: F401
+from .operators import dispersive_reduced, pulse_unitary, resonant_jc  # noqa: F401
 
 _COMMENSURABILITY_RTOL = 1e-9
 
@@ -188,22 +205,7 @@ class TransferResult:
         return max(self.leakage_f.values(), default=0.0)
 
 
-# -- cached operator construction (spaces and params are immutable) ----------
-
-
-@lru_cache(maxsize=32)
-def _cached_pulse(space: HilbertSpace, qubit: int, kind: PulseKind) -> OperatorMatrix:
-    return pulse_unitary(space, qubit, kind)
-
-
-@lru_cache(maxsize=16)
-def _cached_resonant(space: HilbertSpace, qubit: int, coupling: float) -> OperatorMatrix:
-    return resonant_jc(space, qubit, coupling)
-
-
-@lru_cache(maxsize=16)
-def _cached_reduced(space: HilbertSpace, coupling: CouplingParams) -> OperatorMatrix:
-    return dispersive_reduced(space, coupling)
+# -- cached full-mode Hamiltonian (spaces and params are immutable) ----------
 
 
 @lru_cache(maxsize=16)
@@ -215,15 +217,6 @@ def _cached_oscillating(space: HilbertSpace,
 # -- pulse sequences ----------------------------------------------------------
 
 PulseSeq = list[tuple[int, PulseKind]]
-
-_INVERSE_KIND = {
-    PulseKind.PI_GE: PulseKind.PI_GE,
-    PulseKind.PI_EF: PulseKind.PI_EF,
-    PulseKind.HADAMARD_GE: PulseKind.HADAMARD_GE_INVERSE,
-    PulseKind.HADAMARD_GE_INVERSE: PulseKind.HADAMARD_GE,
-    PulseKind.LADDER_UP: PulseKind.LADDER_DOWN,
-    PulseKind.LADDER_DOWN: PulseKind.LADDER_UP,
-}
 
 
 def _preparation_pulses(space: HilbertSpace, n: int) -> PulseSeq:
@@ -250,14 +243,33 @@ def _decoding_pulses(space: HilbertSpace, n: int) -> PulseSeq:
     return seq
 
 
-def _inverted(seq: PulseSeq) -> PulseSeq:
-    return [(pos, _INVERSE_KIND[kind]) for pos, kind in reversed(seq)]
-
-
-def _apply_pulses(space: HilbertSpace, psi: StateVector, seq: PulseSeq) -> StateVector:
+def _fuse(seq: PulseSeq) -> dict[int, np.ndarray]:
+    """One 3x3 unitary per addressed qutrit: its pulses of the block, in order."""
+    block: dict[int, np.ndarray] = {}
     for pos, kind in seq:
-        psi = _cached_pulse(space, pos, kind).act(psi)
+        block[pos] = PULSE_MATRICES[kind] @ block.get(pos, np.eye(3))
+    return block
+
+
+def _apply_pulses(psi: StateVector, seq: PulseSeq, *, adjoint: bool = False) -> StateVector:
+    """Apply a pulse block, or its inverse, one qutrit axis at a time.
+
+    Pulses on different qutrits commute, so the block is exactly the product
+    of its fused per-qutrit unitaries and the inverse that of their adjoints.
+    """
+    for pos, unitary in _fuse(seq).items():
+        matrix = unitary.conj().T if adjoint else unitary
+        psi = StateVector(psi.space, apply_local(psi, matrix, (pos,)))
     return psi
+
+
+def _resonant_stage(psi: StateVector, qubit: int, coupling: float, t: float, *,
+                    adjoint: bool = False) -> StateVector:
+    """Exact resonant swap of one qutrit with the cavity, or its inverse."""
+    space = psi.space
+    hamiltonian = resonant_local(space.cavity_dim, coupling)
+    return evolve_local(-hamiltonian if adjoint else hamiltonian, t, psi,
+                        (space.cavity, qubit))
 
 
 # -- state construction -------------------------------------------------------
@@ -293,7 +305,7 @@ def prepare_initial(space: HilbertSpace, params: ProtocolParams,
     """
     _require_register(space, params)
     psi = bare_initial_state(space, coeffs)
-    return _apply_pulses(space, psi, _preparation_pulses(space, params.n))
+    return _apply_pulses(psi, _preparation_pulses(space, params.n))
 
 
 def target_state(space: HilbertSpace, params: ProtocolParams,
@@ -406,8 +418,8 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
                  samples_per_period: int = 16) -> TransferResult:
     """Execute the whole transfer and score it against the decoded target.
 
-    In ideal mode the dispersive stage evolves under the diagonal
-    Stark-shift Hamiltonian; in full mode it integrates the complete
+    In ideal mode the dispersive stage applies the closed-form phase of the
+    diagonal Stark-shift Hamiltonian; in full mode it integrates the complete
     time-dependent interaction on the active register (the two resonantly
     addressed qutrits factor out exactly during that stage and are sliced
     away, which keeps full-dynamics runs small).
@@ -427,7 +439,7 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
     op1 = space.position(Role.OPERATION, 1)
     mem_a1 = space.position(Role.MEMORY_A, 1)
 
-    psi = evolve_static(_cached_resonant(space, op1, params.coupling.mu1), params.t1, psi)
+    psi = _resonant_stage(psi, op1, params.coupling.mu1, params.t1)
     schedule.append(("cavity", "resonant_op1", params.t1))
     if record_intermediate:
         diagnostics["after_step1"] = psi
@@ -435,7 +447,7 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
     overflow_peak = 0.0
     slice_deficit = 0.0
     if mode == "ideal":
-        psi = evolve_static(_cached_reduced(space, params.coupling), params.t2, psi)
+        psi = analytic_reduced_evolution(params.coupling, params.t2, psi)
         peak_f: dict[str, float] = {}
     else:
         psi, peak_f, overflow_peak, slice_deficit = _run_dispersive_full(
@@ -444,12 +456,12 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
     if record_intermediate:
         diagnostics["after_step2"] = psi
 
-    psi = evolve_static(_cached_resonant(space, mem_a1, params.coupling.mu1p), params.t3, psi)
+    psi = _resonant_stage(psi, mem_a1, params.coupling.mu1p, params.t3)
     schedule.append(("cavity", "resonant_mem_a1", params.t3))
     if record_intermediate:
         diagnostics["after_step3"] = psi
 
-    psi = _apply_pulses(space, psi, _decoding_pulses(space, params.n))
+    psi = _apply_pulses(psi, _decoding_pulses(space, params.n))
     schedule.append(("pulses", "decode", params.tau_p))
 
     target = target_state(space, params, coeffs)
@@ -494,14 +506,13 @@ def inverse_transfer(state: StateVector, params: ProtocolParams, mode: Mode = "i
     if state.space != space:
         raise ValueError("state does not live on the protocol register")
 
-    psi = _apply_pulses(space, state, _inverted(_decoding_pulses(space, params.n)))
+    psi = _apply_pulses(state, _decoding_pulses(space, params.n), adjoint=True)
 
     mem_a1 = space.position(Role.MEMORY_A, 1)
-    psi = evolve_static(-_cached_resonant(space, mem_a1, params.coupling.mu1p),
-                        params.t3, psi)
+    psi = _resonant_stage(psi, mem_a1, params.coupling.mu1p, params.t3, adjoint=True)
 
     if mode == "ideal":
-        psi = evolve_static(-_cached_reduced(space, params.coupling), params.t2, psi)
+        psi = analytic_reduced_evolution(params.coupling, -params.t2, psi)
     else:
         active = build_space(params.n, params.fock_cutoff, active_only=True)
         chi, _ = _extract_active(space, active, psi)
@@ -510,9 +521,9 @@ def inverse_transfer(state: StateVector, params: ProtocolParams, mode: Mode = "i
         psi = _restore_active(space, active, chi)
 
     op1 = space.position(Role.OPERATION, 1)
-    psi = evolve_static(-_cached_resonant(space, op1, params.coupling.mu1), params.t1, psi)
+    psi = _resonant_stage(psi, op1, params.coupling.mu1, params.t1, adjoint=True)
 
-    return _apply_pulses(space, psi, _inverted(_preparation_pulses(space, params.n)))
+    return _apply_pulses(psi, _preparation_pulses(space, params.n), adjoint=True)
 
 
 # -- analysis formulas --------------------------------------------------------

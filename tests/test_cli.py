@@ -1,8 +1,10 @@
+import concurrent.futures
 import csv
 import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,26 @@ def test_run_json_mirrors_csv(tmp_path):
     assert json_rec["total_time"] == pytest.approx(float(csv_rec["total_time"]))
 
 
+def test_run_oversized_register_exits_2_before_allocating(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_N2.replace("protocol.n = 2", "protocol.n = 5"))
+    start = time.perf_counter()
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - start < 5.0
+    assert "MiB limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, cutoff, fits", [(4, 2, True), (4, 3, True), (5, 1, False),
+                                             (5, 2, False), (10**9, 2, False)])
+def test_register_size_guard_at_the_config_boundary(n, cutoff, fits):
+    entries = cli.parse_config(CONFIG_DIR / "flux_transmon_n3.cfg")
+    entries.update({"protocol.n": str(n), "protocol.fock_cutoff": str(cutoff)})
+    if fits:
+        assert cli.resolve_params(entries).n == n
+    else:
+        with pytest.raises(cli.ConfigError, match="MiB limit"):
+            cli.resolve_params(entries)
+
+
 def test_run_full_mode_fock_cutoff_convergence(tmp_path):
     # truncation-convergence oracle: raising the cutoff must not move the
     # full-dynamics fidelity (the interaction conserves total excitation)
@@ -171,6 +193,33 @@ def test_sweep_reference_grid_full_mode(tmp_path):
     measured = [float(r["leakage_f_max"]) for r in rows]
     assert all(m > 0 for m in measured)
     assert rows[0]["mode"] == "full"
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1), (8, 5)])
+def test_sweep_pool_is_capped_at_the_core_count(tmp_path, monkeypatch, cpus, expected):
+    recorded = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    path = write_config(tmp_path, BASE_N2.replace("protocol.n = 2", "protocol.n = 1")
+                        + "sweep.ratios = 5, 10, 20, 40, 80\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", path, "--mode", "ideal", "--out", str(out)]) == 0
+    assert recorded == [expected]
+    assert len(read_csv(out)) == 5
 
 
 def test_sweep_single_ratio_exits_2(tmp_path):

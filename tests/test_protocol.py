@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,20 +14,28 @@ from ghzdfs import (
     Level,
     ProtocolParams,
     Role,
+    analytic_reduced_evolution,
     bare_initial_state,
     build_space,
     cavity_lifetime,
+    dispersive_positions,
+    dispersive_reduced,
+    evolve_static,
     fidelity,
     inverse_transfer,
     leakage_estimate,
     level_populations,
     matched_deltap,
+    normalized,
     operation_time,
     population,
     prepare_initial,
+    pulse_unitary,
+    resonant_jc,
     run_transfer,
     target_state,
 )
+from ghzdfs import evolve, operators, protocol
 
 
 # -- coefficients and parameter validation -------------------------------------
@@ -228,6 +237,128 @@ def test_ideal_fidelity_is_coefficient_independent(seed):
 def test_run_transfer_rejects_unknown_mode(params_n2):
     with pytest.raises(ValueError):
         run_transfer(params_n2, GhzCoefficients.balanced(), "approximate")
+
+
+def test_ideal_transfer_reaches_target_n4():
+    # 1,594,323 amplitudes: reachable only because no full-register operator is built
+    params = reference_params(4)
+    result = run_transfer(params, GhzCoefficients.random(np.random.default_rng(104)), "ideal")
+    assert 1.0 - result.fidelity_to_target < 1e-9
+
+
+# -- the local engine against the sparse-Kronecker oracle ----------------------------
+
+# random states at n = 1 and 2, and one at n = 3
+ORACLE_CASES = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+ORACLE_TOL = 1e-12
+
+
+def _random_state(space, seed, no_f_on=()):
+    """Random normalized state; zero weight on |f> of the listed qutrits."""
+    rng = np.random.default_rng(seed)
+    tensor = (rng.normal(size=space.total_dim)
+              + 1j * rng.normal(size=space.total_dim)).reshape(space.dims[::-1])
+    for pos in no_f_on:
+        index = [slice(None)] * space.size
+        index[space.size - 1 - pos] = int(Level.F)
+        tensor[tuple(index)] = 0.0
+    return normalized(space, tensor.reshape(-1))
+
+
+def _distance(a, b) -> float:
+    return float(np.max(np.abs(a.amplitudes - b.amplitudes)))
+
+
+@pytest.mark.parametrize("n, seed", ORACLE_CASES)
+def test_fused_pulse_blocks_match_sequential_sparse_pulses(n, seed):
+    space = build_space(n, 2)
+    psi = _random_state(space, seed)
+    for seq in (protocol._preparation_pulses(space, n), protocol._decoding_pulses(space, n)):
+        forward, backward = psi, psi
+        for pos, kind in seq:
+            forward = pulse_unitary(space, pos, kind).act(forward)
+        for pos, kind in reversed(seq):
+            backward = pulse_unitary(space, pos, kind).dagger().act(backward)
+        assert _distance(protocol._apply_pulses(psi, seq), forward) <= ORACLE_TOL
+        assert _distance(protocol._apply_pulses(psi, seq, adjoint=True), backward) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("n, seed", ORACLE_CASES)
+def test_resonant_swaps_match_sparse_exponential_action(n, seed):
+    params = reference_params(n)
+    space = build_space(n, params.fock_cutoff)
+    psi = _random_state(space, seed)
+    c = params.coupling
+    for role, coupling, t in ((Role.OPERATION, c.mu1, params.t1),
+                              (Role.MEMORY_A, c.mu1p, params.t3)):
+        qubit = space.position(role, 1)
+        hamiltonian = resonant_jc(space, qubit, coupling)
+        local = protocol._resonant_stage(psi, qubit, coupling, t)
+        assert _distance(local, evolve_static(hamiltonian, t, psi)) <= ORACLE_TOL
+        local = protocol._resonant_stage(psi, qubit, coupling, t, adjoint=True)
+        assert _distance(local, evolve_static(-hamiltonian, t, psi)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("n, seed", ORACLE_CASES)
+def test_ideal_hold_matches_sparse_exponential_action(n, seed):
+    params = reference_params(n)
+    space = build_space(n, params.fock_cutoff)
+    psi = _random_state(space, seed, no_f_on=dispersive_positions(space))
+    hamiltonian = dispersive_reduced(space, params.coupling)
+    local = analytic_reduced_evolution(params.coupling, params.t2, psi)
+    assert _distance(local, evolve_static(hamiltonian, params.t2, psi)) <= ORACLE_TOL
+    local = analytic_reduced_evolution(params.coupling, -params.t2, psi)
+    assert _distance(local, evolve_static(-hamiltonian, params.t2, psi)) <= ORACLE_TOL
+
+
+def _oracle_transfer(params, psi, inverse=False):
+    """The ideal schedule, or its inverse, from full-register sparse operators.
+
+    Each step is a pulse OperatorMatrix or a (Hamiltonian, duration) pair.
+    """
+    space = psi.space
+    c = params.coupling
+    steps = [pulse_unitary(space, pos, kind)
+             for pos, kind in protocol._preparation_pulses(space, params.n)]
+    steps += [(resonant_jc(space, space.position(Role.OPERATION, 1), c.mu1), params.t1),
+              (dispersive_reduced(space, c), params.t2),
+              (resonant_jc(space, space.position(Role.MEMORY_A, 1), c.mu1p), params.t3)]
+    steps += [pulse_unitary(space, pos, kind)
+              for pos, kind in protocol._decoding_pulses(space, params.n)]
+    if inverse:
+        steps = [(-step[0], step[1]) if isinstance(step, tuple) else step.dagger()
+                 for step in reversed(steps)]
+    for step in steps:
+        psi = evolve_static(*step, psi) if isinstance(step, tuple) else step.act(psi)
+    return psi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ideal_transfer_and_inverse_match_sparse_oracle(n):
+    params = reference_params(n)
+    space = build_space(n, params.fock_cutoff)
+    coeffs = GhzCoefficients.random(np.random.default_rng(300 + n))
+    bare = bare_initial_state(space, coeffs)
+    forward = run_transfer(params, coeffs, "ideal").final_state
+    assert _distance(forward, _oracle_transfer(params, bare)) <= ORACLE_TOL
+    back = inverse_transfer(forward, params, "ideal")
+    assert _distance(back, _oracle_transfer(params, forward, inverse=True)) <= ORACLE_TOL
+
+
+def test_ideal_engine_builds_no_full_register_operator(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("full-register operator built on the ideal path")
+
+    monkeypatch.setattr(operators, "embed", refuse)
+    monkeypatch.setattr(sp, "kron", refuse)
+    monkeypatch.setattr(evolve, "expm_multiply", refuse)
+    params = reference_params(3)
+    space = build_space(3, params.fock_cutoff)
+    coeffs = GhzCoefficients.random(np.random.default_rng(33))
+    result = run_transfer(params, coeffs, "ideal", record_intermediate=True)
+    assert 1.0 - result.fidelity_to_target < 1e-9
+    back = inverse_transfer(result.final_state, params, "ideal")
+    assert 1.0 - fidelity(bare_initial_state(space, coeffs), back) < 1e-9
 
 
 # -- full dynamics (small register; the expensive runs live in the acceptance suite) --
