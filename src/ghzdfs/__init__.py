@@ -30,10 +30,13 @@ from .operators import (
     oscillating_dispersive,
     pulse_unitary,
     resonant_jc,
+    resonant_local,
 )
 from .evolve import (
     IntegratorConfig,
     analytic_reduced_evolution,
+    apply_local,
+    evolve_local,
     evolve_static,
     evolve_timedep,
 )

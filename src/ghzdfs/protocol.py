@@ -244,7 +244,7 @@ def _decoding_pulses(space: HilbertSpace, n: int) -> PulseSeq:
 
 
 def _fuse(seq: PulseSeq) -> dict[int, np.ndarray]:
-    """One 3x3 unitary per addressed qutrit: its pulses of the block, in order."""
+    """One 3x3 unitary per addressed qutrit: the product of its pulses in order."""
     block: dict[int, np.ndarray] = {}
     for pos, kind in seq:
         block[pos] = PULSE_MATRICES[kind] @ block.get(pos, np.eye(3))
