@@ -265,6 +265,12 @@ def _random_state(space, seed, no_f_on=()):
     return normalized(space, tensor.reshape(-1))
 
 
+def _unequal_rates_params(n):
+    """Reference point with m = 1, k = 0, so lam' = lam / 3: a hold that mixed
+    up the operation and memory groups' Stark rates would show."""
+    return ProtocolParams(n=n, coupling=matched_deltap(reference_coupling(), 1, 0), m=1, k=0)
+
+
 def _distance(a, b) -> float:
     return float(np.max(np.abs(a.amplitudes - b.amplitudes)))
 
@@ -301,14 +307,16 @@ def test_resonant_swaps_match_sparse_exponential_action(n, seed):
 
 @pytest.mark.parametrize("n, seed", ORACLE_CASES)
 def test_ideal_hold_matches_sparse_exponential_action(n, seed):
-    params = reference_params(n)
+    params = _unequal_rates_params(n)
     space = build_space(n, params.fock_cutoff)
     psi = _random_state(space, seed, no_f_on=dispersive_positions(space))
     hamiltonian = dispersive_reduced(space, params.coupling)
-    local = analytic_reduced_evolution(params.coupling, params.t2, psi)
-    assert _distance(local, evolve_static(hamiltonian, params.t2, psi)) <= ORACLE_TOL
-    local = analytic_reduced_evolution(params.coupling, -params.t2, psi)
-    assert _distance(local, evolve_static(-hamiltonian, params.t2, psi)) <= ORACLE_TOL
+    # at t2 itself every Stark phase is +-1, so also test at a generic time
+    for t in (params.t2, 0.37 * params.t2):
+        local = analytic_reduced_evolution(params.coupling, t, psi)
+        assert _distance(local, evolve_static(hamiltonian, t, psi)) <= ORACLE_TOL
+        local = analytic_reduced_evolution(params.coupling, -t, psi)
+        assert _distance(local, evolve_static(-hamiltonian, t, psi)) <= ORACLE_TOL
 
 
 def _oracle_transfer(params, psi, inverse=False):
@@ -335,7 +343,7 @@ def _oracle_transfer(params, psi, inverse=False):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ideal_transfer_and_inverse_match_sparse_oracle(n):
-    params = reference_params(n)
+    params = _unequal_rates_params(n)
     space = build_space(n, params.fock_cutoff)
     coeffs = GhzCoefficients.random(np.random.default_rng(300 + n))
     bare = bare_initial_state(space, coeffs)
