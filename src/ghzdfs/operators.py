@@ -22,7 +22,7 @@ Classical pulses are modeled as instantaneous single-qutrit unitaries with
 a fixed real phase convention (drive phases are free parameters, so any
 consistent choice works for encoding and decoding).
 
-The sparse builders here embed each term in the whole register (3^(3n)
+The sparse operators here embed each term in the whole register (3^(3n)
 times the cavity dimension rows).  The protocol itself runs on the local
 factors (``PULSE_MATRICES``, ``resonant_local``) and on the closed-form
 Stark phase; the full-register forms of the pulse, resonant and reduced

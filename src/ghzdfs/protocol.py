@@ -22,7 +22,7 @@ resonant swap as the exact two-body unitary on the (cavity, qutrit) axes,
 and the ideal hold as the closed-form Stark phase.  The inverse transfer
 applies the adjoints of the same factors in reverse order.  Only the
 full-mode hold integrates a Hamiltonian, on the active register.  The
-sparse full-register builders of ``operators`` are not used here; the tests
+sparse full-register operators of ``operators`` are not used here; the tests
 hold this path against them.
 """
 
