@@ -36,9 +36,11 @@ from .evolve import (
     IntegratorConfig,
     analytic_reduced_evolution,
     apply_local,
+    dispersive_f_peaks,
     evolve_local,
     evolve_static,
     evolve_timedep,
+    exact_dispersive_evolution,
 )
 from .protocol import (
     GhzCoefficients,

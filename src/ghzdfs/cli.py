@@ -34,10 +34,8 @@ is byte-stable: the same config and seed always produce identical files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -360,18 +358,7 @@ def cmd_sweep(entries: dict[str, str], args: argparse.Namespace) -> list[dict]:
     if len(coeffs_list) != 1:
         raise ConfigError("sweep uses a single coefficient pair")
     mode = args.mode or "full"
-    jobs = [(base, coeffs_list[0], ratio, mode, args.seed) for ratio in ratios]
-    try:
-        workers = min(len(jobs), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_point_star, jobs))
-    except (OSError, PermissionError):  # restricted environments: run in-process
-        records = [_sweep_point_star(job) for job in jobs]
-    return records
-
-
-def _sweep_point_star(job) -> dict:
-    return _sweep_point(*job)
+    return [_sweep_point(base, coeffs_list[0], ratio, mode, args.seed) for ratio in ratios]
 
 
 def cmd_dephase(entries: dict[str, str], args: argparse.Namespace) -> list[dict]:

@@ -24,9 +24,11 @@ consistent choice works for encoding and decoding).
 
 The sparse operators here embed each term in the whole register (3^(3n)
 times the cavity dimension rows).  The protocol itself runs on the local
-factors (``PULSE_MATRICES``, ``resonant_local``) and on the closed-form
-Stark phase; the full-register forms of the pulse, resonant and reduced
-operators serve as independent oracles for that path.
+factors (``PULSE_MATRICES``, ``resonant_local``), on the closed-form Stark
+phase and on the exact single-photon reduction of the full hold.  The
+full-register forms of the pulse, resonant and reduced operators, and the
+oscillating dispersive interaction, serve as independent oracles for that
+path.
 """
 
 from __future__ import annotations

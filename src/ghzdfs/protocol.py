@@ -19,29 +19,30 @@ their durations tau_p and tau_d enter the total-time bookkeeping only.
 Every step runs locally on the tensor axes of the state (see ``evolve``):
 each pulse block as one fused 3x3 unitary per addressed qutrit, each
 resonant swap as the exact two-body unitary on the (cavity, qutrit) axes,
-and the ideal hold as the closed-form Stark phase.  The inverse transfer
-applies the adjoints of the same factors in reverse order.  Only the
-full-mode hold integrates a Hamiltonian, on the active register.  The
-sparse full-register operators of ``operators`` are not used here; the tests
-hold this path against them.
+the ideal hold as the closed-form Stark phase, and the full-mode hold as one
+3x3 propagator per single-photon sector of the active register
+(``evolve.exact_dispersive_evolution``).  The inverse transfer applies the
+adjoints of the same factors in reverse order.  Nothing here integrates a
+Hamiltonian or uses the sparse full-register operators of ``operators``; the
+tests hold this path against them and against the integrated full
+interaction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Literal, Mapping
 
 import numpy as np
 
 from .evolve import (
-    IntegratorConfig,
     analytic_reduced_evolution,
     apply_local,
+    dispersive_f_peaks,
     evolve_local,
-    evolve_timedep,
+    exact_dispersive_evolution,
 )
 from .hilbert import (
     HilbertSpace,
@@ -57,16 +58,19 @@ from .hilbert import (
 from .operators import (
     PULSE_MATRICES,
     CouplingParams,
-    OscillatingHamiltonian,
     PulseKind,
     dispersive_positions,
-    oscillating_dispersive,
     resonant_local,
 )
 
 # Unused here; bound because perfbench/tracing.py patches these names on this module.
-from .evolve import evolve_static  # noqa: F401
-from .operators import dispersive_reduced, pulse_unitary, resonant_jc  # noqa: F401
+from .evolve import evolve_static, evolve_timedep  # noqa: F401
+from .operators import (  # noqa: F401
+    dispersive_reduced,
+    oscillating_dispersive,
+    pulse_unitary,
+    resonant_jc,
+)
 
 _COMMENSURABILITY_RTOL = 1e-9
 
@@ -178,8 +182,8 @@ class TransferResult:
     """Final state of one transfer run plus quality diagnostics.
 
     ``leakage_f`` maps each dispersively coupled qutrit label to its |f>
-    population: the peak over the dispersive stage in full mode, the final
-    value in ideal mode.  ``leakage_photon`` is the residual cavity
+    population: the exact peak over the dispersive stage in full mode, the
+    final value in ideal mode.  ``leakage_photon`` is the residual cavity
     excitation left at the end of the run.
     """
 
@@ -203,15 +207,6 @@ class TransferResult:
     @property
     def max_f_leakage(self) -> float:
         return max(self.leakage_f.values(), default=0.0)
-
-
-# -- cached full-mode Hamiltonian (spaces and params are immutable) ----------
-
-
-@lru_cache(maxsize=16)
-def _cached_oscillating(space: HilbertSpace,
-                        coupling: CouplingParams) -> OscillatingHamiltonian:
-    return oscillating_dispersive(space, coupling)
 
 
 # -- pulse sequences ----------------------------------------------------------
@@ -371,58 +366,36 @@ def _restore_active(space: HilbertSpace, active: HilbertSpace,
     return StateVector(space, full.reshape(-1))
 
 
-def _run_dispersive_full(space: HilbertSpace, params: ProtocolParams, psi: StateVector,
-                         cfg: IntegratorConfig | None,
-                         samples_per_period: int) -> tuple[StateVector, dict[str, float], float, float]:
-    """Integrate the full time-dependent interaction over the hold time.
+def _full_hold(space: HilbertSpace, params: ProtocolParams, psi: StateVector, *,
+               adjoint: bool = False) -> tuple[StateVector, dict[str, float], float]:
+    """The full dispersive hold, or its inverse, on the active register.
 
-    Returns the evolved state plus per-qutrit peak |f> populations, the peak
-    population above Fock level 1, and the spectator-slice norm deficit.
+    Returns the evolved state, the per-qutrit peak |f> populations over the
+    hold (empty for the inverse), and the spectator-slice norm deficit.
     """
     active = build_space(params.n, params.fock_cutoff, active_only=True)
     chi, deficit = _extract_active(space, active, psi)
-    hamiltonian = _cached_oscillating(active, params.coupling)
-
-    periods = params.t2 * hamiltonian.max_frequency / (2.0 * math.pi)
-    n_obs = int(min(max(256, math.ceil(periods * samples_per_period)), 8000))
-    watched = dispersive_positions(active)
-    axes = {pos: active.size - 1 - pos for pos in watched}
-    peaks = {pos: 0.0 for pos in watched}
-    overflow_peak = 0.0
-    cavity_axis = active.size - 1 - active.cavity
-
-    def observer(_t: float, y: np.ndarray) -> None:
-        nonlocal overflow_peak
-        prob = np.abs(y.reshape(active.dims[::-1])) ** 2
-        for pos, axis in axes.items():
-            pf = float(np.take(prob, int(Level.F), axis=axis).sum())
-            if pf > peaks[pos]:
-                peaks[pos] = pf
-        if active.cavity_dim > 2:
-            high = float(np.take(prob, range(2, active.cavity_dim), axis=cavity_axis).sum())
-            if high > overflow_peak:
-                overflow_peak = high
-
-    chi_out = evolve_timedep(hamiltonian, params.t2, chi, cfg,
-                             observer=observer,
-                             observation_times=np.linspace(0.0, params.t2, n_obs))
-    labelled = {active.subsystems[pos].label(): val for pos, val in peaks.items()}
-    return _restore_active(space, active, chi_out), labelled, overflow_peak, deficit
+    peaks = {} if adjoint else {
+        active.subsystems[pos].label(): peak
+        for pos, peak in dispersive_f_peaks(params.coupling, params.t2, chi).items()}
+    chi = exact_dispersive_evolution(params.coupling, params.t2, chi, adjoint=adjoint)
+    return _restore_active(space, active, chi), peaks, deficit
 
 
 # -- the protocol -------------------------------------------------------------
 
 
 def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "ideal",
-                 *, cfg: IntegratorConfig | None = None, record_intermediate: bool = False,
-                 samples_per_period: int = 16) -> TransferResult:
+                 *, record_intermediate: bool = False) -> TransferResult:
     """Execute the whole transfer and score it against the decoded target.
 
     In ideal mode the dispersive stage applies the closed-form phase of the
-    diagonal Stark-shift Hamiltonian; in full mode it integrates the complete
-    time-dependent interaction on the active register (the two resonantly
-    addressed qutrits factor out exactly during that stage and are sliced
-    away, which keeps full-dynamics runs small).
+    diagonal Stark-shift Hamiltonian; in full mode it applies the exact
+    evolution under the complete time-dependent interaction, one 3x3
+    propagator per single-photon sector, on the active register (the two
+    resonantly addressed qutrits factor out exactly during that stage and are
+    sliced away).  Full mode also reports the exact peak |f> population of
+    each dispersive qutrit over the hold.
 
     The executed schedule always contains exactly two pulse blocks and three
     cavity-interaction segments, independent of n.
@@ -444,14 +417,12 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
     if record_intermediate:
         diagnostics["after_step1"] = psi
 
-    overflow_peak = 0.0
     slice_deficit = 0.0
     if mode == "ideal":
         psi = analytic_reduced_evolution(params.coupling, params.t2, psi)
         peak_f: dict[str, float] = {}
     else:
-        psi, peak_f, overflow_peak, slice_deficit = _run_dispersive_full(
-            space, params, psi, cfg, samples_per_period)
+        psi, peak_f, slice_deficit = _full_hold(space, params, psi)
     schedule.append(("cavity", "dispersive", params.t2))
     if record_intermediate:
         diagnostics["after_step2"] = psi
@@ -475,7 +446,8 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
     leakage_photon = 1.0 - population(psi, space.cavity, 0)
 
     diagnostics["schedule"] = tuple(schedule)
-    diagnostics["photon_overflow_peak"] = overflow_peak
+    # the hold conserves excitations and refuses weight above Fock 1
+    diagnostics["photon_overflow_peak"] = 0.0
     diagnostics["spectator_slice_deficit"] = slice_deficit
     return TransferResult(
         final_state=psi,
@@ -489,16 +461,15 @@ def run_transfer(params: ProtocolParams, coeffs: GhzCoefficients, mode: Mode = "
     )
 
 
-def inverse_transfer(state: StateVector, params: ProtocolParams, mode: Mode = "ideal",
-                     *, cfg: IntegratorConfig | None = None) -> StateVector:
+def inverse_transfer(state: StateVector, params: ProtocolParams,
+                     mode: Mode = "ideal") -> StateVector:
     """Undo the whole transfer by applying the exact inverse unitary sequence.
 
     Takes a state produced by ``run_transfer`` back to the bare pre-protocol
     configuration (GHZ on the operation register, memory in the ground
     state, cavity in vacuum).  No measurement is involved anywhere, so the
-    inverse is just the adjoint of each operation in reverse order; in full
-    mode the dispersive stage is integrated with the time-reversed
-    negated interaction.
+    inverse is just the adjoint of each operation in reverse order, the
+    full-mode hold included.
     """
     if mode not in ("ideal", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -514,11 +485,7 @@ def inverse_transfer(state: StateVector, params: ProtocolParams, mode: Mode = "i
     if mode == "ideal":
         psi = analytic_reduced_evolution(params.coupling, -params.t2, psi)
     else:
-        active = build_space(params.n, params.fock_cutoff, active_only=True)
-        chi, _ = _extract_active(space, active, psi)
-        backward = _cached_oscillating(active, params.coupling).reversed_negated(params.t2)
-        chi = evolve_timedep(backward, params.t2, chi, cfg)
-        psi = _restore_active(space, active, chi)
+        psi, _, _ = _full_hold(space, params, psi, adjoint=True)
 
     op1 = space.position(Role.OPERATION, 1)
     psi = _resonant_stage(psi, op1, params.coupling.mu1, params.t1, adjoint=True)

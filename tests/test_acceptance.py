@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import helpers
+import hold_oracle
 from conftest import MU, reference_coupling, reference_params
+from ghzdfs import protocol
 from ghzdfs import (
     DephasingModel,
     GhzCoefficients,
@@ -132,11 +134,31 @@ def test_criterion_3_dispersive_validity():
     infidelities = [1.0 - full_run(r, 2, BAL, BAL).fidelity_to_target
                     for r in (5.0, 10.0, 20.0)]
     assert infidelities[0] > infidelities[1] > infidelities[2]
+
+    # the exact hold against the full time-dependent Hamiltonian on the
+    # 243-dim active register, integrated by DOP853
+    worst_state, lowest_ratio = 0.0, 1.0
+    for ratio in (5.0, 10.0, 20.0):
+        params = reference_params(2, ratio)
+        chi, recorded = hold_oracle.hold_start(params, GhzCoefficients(BAL, BAL))
+        assert chi.space.total_dim == 243
+        integrated, observed = hold_oracle.integrate_hold(params.coupling, params.t2, chi)
+        exact, _ = protocol._extract_active(recorded.final_state.space, chi.space,
+                                            recorded.diagnostics["after_step2"])
+        worst_state = max(worst_state, float(np.max(np.abs(exact.amplitudes
+                                                           - integrated.amplitudes))))
+        assert recorded.leakage_f == full_run(ratio, 2, BAL, BAL).leakage_f
+        for pos, seen in observed.items():
+            peak = recorded.leakage_f[chi.space.subsystems[pos].label()]
+            assert 0.99 * peak <= seen <= peak, (ratio, pos, seen, peak)
+            lowest_ratio = min(lowest_ratio, seen / peak)
+    assert worst_state <= 1e-9
     report(3, f"dispersive validity: conditional |f> occupancy "
               f"{max(conditionals.values()):.4f} vs estimate {p_est:.4f}, "
               f"full-mode fidelity {fid_run.fidelity_to_target:.4f} >= 0.95, "
               f"infidelity {infidelities[0]:.2e} > {infidelities[1]:.2e} "
-              f"> {infidelities[2]:.2e}")
+              f"> {infidelities[2]:.2e}; exact hold vs DOP853 within {worst_state:.1e}, "
+              f"sampled peaks >= {lowest_ratio:.4f} of the exact ones")
 
 
 def test_criterion_4_timing_arithmetic():

@@ -4,8 +4,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import expm
+
 from conftest import MU, reference_coupling
 from ghzdfs import (
+    CouplingParams,
     IntegratorConfig,
     Level,
     OperatorMatrix,
@@ -13,9 +16,12 @@ from ghzdfs import (
     analytic_reduced_evolution,
     basis_state,
     build_space,
+    dispersive_f_peaks,
+    dispersive_positions,
     dispersive_reduced,
     evolve_static,
     evolve_timedep,
+    exact_dispersive_evolution,
     fidelity,
     normalized,
     oscillating_dispersive,
@@ -23,6 +29,7 @@ from ghzdfs import (
     product_state,
     resonant_jc,
 )
+from ghzdfs import evolve
 
 
 def half_rabi_space():
@@ -274,3 +281,100 @@ def test_unitarity_and_composition(seed):
     twice = evolve_static(herm, t_b, evolve_static(herm, t_a, psi))
     assert abs(once.norm - 1.0) < 1e-10
     assert 1.0 - fidelity(once, twice) < 1e-9
+
+
+# -- the exact full dispersive hold ------------------------------------------------
+
+# unequal groups: mu' != mu and delta' != delta, no commensurability needed here
+UNEQUAL = CouplingParams(mu1=MU, mu1p=MU, mu=MU, mup=0.6 * MU, delta=5 * MU, deltap=4 * MU)
+
+
+def _random_single_photon_state(space, rng):
+    """Random state with at most one photon and no |f> on the dispersive qutrits;
+    any other qutrit (a resonant spectator) takes every level."""
+    tensor = (rng.normal(size=space.dims[::-1])
+              + 1j * rng.normal(size=space.dims[::-1]))
+    index = [slice(None)] * space.size
+    index[space.size - 1 - space.cavity] = slice(2, None)
+    tensor[tuple(index)] = 0.0
+    for pos in dispersive_positions(space):
+        index = [slice(None)] * space.size
+        index[space.size - 1 - pos] = int(Level.F)
+        tensor[tuple(index)] = 0.0
+    return normalized(space, tensor.reshape(-1))
+
+
+def _max_distance(a, b) -> float:
+    return float(np.max(np.abs(a.amplitudes - b.amplitudes)))
+
+
+def test_hold_propagators_match_dense_exponential():
+    t = 0.73e-7
+    u = evolve._hold_propagators(UNEQUAL, 2, 3, t)
+    c = UNEQUAL
+    for k_op in range(3):
+        for k_mem in range(4):
+            g_op, g_mem = c.mu * np.sqrt(k_op), c.mup * np.sqrt(k_mem)
+            h = np.array([[0.0, g_op, g_mem], [g_op, c.delta, 0.0], [g_mem, 0.0, c.deltap]])
+            frame = np.diag(np.exp(1j * t * np.array([0.0, c.delta, c.deltap])))
+            assert np.max(np.abs(u[k_op, k_mem] - frame @ expm(-1j * t * h))) < 1e-12
+
+
+@pytest.mark.parametrize("n, active_only, coupling", [
+    (1, False, reference_coupling(5.0)),  # resonant spectators in every level
+    (2, True, UNEQUAL),
+])
+def test_exact_hold_matches_integrated_hamiltonian(n, active_only, coupling):
+    space = build_space(n, 2, active_only)
+    psi = _random_single_photon_state(space, np.random.default_rng(17 + n))
+    t = 2.1e-7
+    exact = exact_dispersive_evolution(coupling, t, psi)
+    integrated = evolve_timedep(oscillating_dispersive(space, coupling), t, psi)
+    assert _max_distance(exact, integrated) <= 1e-9
+    back = exact_dispersive_evolution(coupling, t, exact, adjoint=True)
+    integrated_back = evolve_timedep(oscillating_dispersive(space, coupling).reversed_negated(t),
+                                     t, exact)
+    assert _max_distance(back, integrated_back) <= 1e-9
+    assert _max_distance(back, psi) <= 1e-12
+
+
+def test_exact_hold_is_the_identity_at_t0():
+    space = build_space(2, 2, True)
+    psi = _random_single_photon_state(space, np.random.default_rng(5))
+    assert _max_distance(exact_dispersive_evolution(UNEQUAL, 0.0, psi), psi) <= 1e-15
+
+
+def test_exact_hold_rejects_more_than_one_photon():
+    space = build_space(1, 2, True)
+    two_photons = product_state(space, [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])])
+    for adjoint in (False, True):
+        with pytest.raises(ValueError, match="above one excitation"):
+            exact_dispersive_evolution(reference_coupling(), 1e-8, two_photons, adjoint=adjoint)
+    with pytest.raises(ValueError, match="above one excitation"):
+        dispersive_f_peaks(reference_coupling(), 1e-8, two_photons)
+
+
+def test_exact_hold_rejects_f_at_the_start():
+    space = build_space(1, 2, True)
+    f_vacuum = product_state(space, [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])])
+    with pytest.raises(ValueError, match=r"\|f> population"):
+        exact_dispersive_evolution(reference_coupling(), 1e-8, f_vacuum)
+    with pytest.raises(ValueError, match=r"\|f> population"):
+        dispersive_f_peaks(reference_coupling(), 1e-8, f_vacuum)
+    # the inverse takes the hold's own output, which holds |f> with no photon
+    exact_dispersive_evolution(reference_coupling(), 1e-8, f_vacuum, adjoint=True)
+
+
+def test_f_peaks_bound_densely_sampled_exact_populations():
+    space = build_space(2, 2, True)
+    psi = _random_single_photon_state(space, np.random.default_rng(23))
+    t = 1.0e-7  # about 8 periods of the fastest sector frequency
+    peaks = dispersive_f_peaks(UNEQUAL, t, psi)
+    assert set(peaks) == set(dispersive_positions(space))
+    sampled = {pos: 0.0 for pos in peaks}
+    for s in np.linspace(0.0, t, 801):
+        state = exact_dispersive_evolution(UNEQUAL, s, psi)
+        for pos in sampled:
+            sampled[pos] = max(sampled[pos], population(state, pos, Level.F))
+    for pos, peak in peaks.items():
+        assert sampled[pos] - 1e-12 <= peak <= sampled[pos] * (1 + 2e-3), pos

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import hold_oracle
 from conftest import MU, reference_coupling, reference_params
 from ghzdfs import (
     CouplingParams,
@@ -391,6 +392,83 @@ def test_full_mode_round_trip_n1():
     ideal_fid = run_transfer(params, coeffs, "ideal").fidelity_to_target
     round_trip = fidelity(bare, back)
     assert round_trip >= ideal_fid**2 - 0.05
+
+
+# -- the exact full-mode hold against the integrated Hamiltonian ---------------------
+
+HOLD_TOL = 1e-9
+
+
+@pytest.mark.parametrize("params", [
+    # unequal groups: mu' = 0.6 mu, delta' matched to the commensurability condition
+    ProtocolParams(n=2, coupling=matched_deltap(CouplingParams(
+        mu1=MU, mu1p=MU, mu=MU, mup=0.6 * MU, delta=5 * MU, deltap=5 * MU), 0, 0)),
+    # a three-times longer hold with lam' = lam / 3
+    ProtocolParams(n=2, coupling=matched_deltap(reference_coupling(5.0), 1, 0), m=1, k=0),
+], ids=["unequal_mu_prime", "m1_k0"])
+def test_full_hold_matches_integrated_hamiltonian(params):
+    chi, result = hold_oracle.hold_start(params, GhzCoefficients.random(np.random.default_rng(8)))
+    integrated, observed = hold_oracle.integrate_hold(params.coupling, params.t2, chi)
+    space = result.final_state.space
+    exact, _ = protocol._extract_active(space, chi.space, result.diagnostics["after_step2"])
+    assert _distance(exact, integrated) <= HOLD_TOL
+    for pos, seen in observed.items():
+        peak = result.leakage_f[chi.space.subsystems[pos].label()]
+        assert 0.99 * peak <= seen <= peak
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_full_mode_round_trip_is_identity(n):
+    params = reference_params(n)
+    coeffs = GhzCoefficients.random(np.random.default_rng(40 + n))
+    bare = bare_initial_state(build_space(n, params.fock_cutoff), coeffs)
+    forward = run_transfer(params, coeffs, "full").final_state
+    assert _distance(inverse_transfer(forward, params, "full"), bare) <= HOLD_TOL
+
+
+def test_full_inverse_matches_integrated_reversed_hamiltonian():
+    params = reference_params(1)
+    coeffs = GhzCoefficients.random(np.random.default_rng(12))
+    forward = run_transfer(params, coeffs, "full").final_state
+    space = forward.space
+    # undo the decoding pulses and the unloading swap to reach the end of the hold
+    psi = protocol._apply_pulses(forward, protocol._decoding_pulses(space, 1), adjoint=True)
+    psi = protocol._resonant_stage(psi, space.position(Role.MEMORY_A, 1), params.coupling.mu1p,
+                                   params.t3, adjoint=True)
+    active = build_space(1, params.fock_cutoff, active_only=True)
+    chi, _ = protocol._extract_active(space, active, psi)
+    integrated, _ = hold_oracle.integrate_hold(params.coupling, params.t2, chi, inverse=True)
+    exact, _, _ = protocol._full_hold(space, params, psi, adjoint=True)
+    exact, _ = protocol._extract_active(space, active, exact)
+    assert _distance(exact, integrated) <= HOLD_TOL
+
+
+def test_full_transfer_n3():
+    params = reference_params(3)
+    result = run_transfer(params, GhzCoefficients.balanced(), "full")
+    assert f"{result.fidelity_to_target:.6f}" == "0.921524"
+    p, p_prime = leakage_estimate(params)
+    assert len(result.leakage_f) == 7
+    assert all(0.0 < v <= 2 * (p if label.startswith("op") else p_prime)
+               for label, v in result.leakage_f.items())
+    assert result.diagnostics["photon_overflow_peak"] == 0.0
+
+
+def test_full_engine_integrates_nothing(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the full-mode hold integrated or built an operator")
+
+    for owner in (evolve, protocol):
+        monkeypatch.setattr(owner, "evolve_timedep", refuse)
+    for owner in (operators, protocol):
+        monkeypatch.setattr(owner, "oscillating_dispersive", refuse)
+    monkeypatch.setattr(operators, "embed", refuse)
+    params = reference_params(2)
+    coeffs = GhzCoefficients.random(np.random.default_rng(21))
+    result = run_transfer(params, coeffs, "full", record_intermediate=True)
+    assert result.fidelity_to_target > 0.95
+    back = inverse_transfer(result.final_state, params, "full")
+    assert 1.0 - fidelity(bare_initial_state(back.space, coeffs), back) < 1e-9
 
 
 # -- inverse transfer ------------------------------------------------------------------
