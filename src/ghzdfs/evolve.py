@@ -205,7 +205,7 @@ _HOLD_WEIGHT_TOL = 1e-12
 # grid density of the leakage-peak search, in samples per fastest period,
 # and the size of the (terms x times) cosine block evaluated at once
 _PEAK_SAMPLES_PER_PERIOD = 32
-_PEAK_BLOCK = 2**15
+_PEAK_BLOCK = 2**13
 _PEAK_CANDIDATES = 8
 _PEAK_REFINE_ROUNDS = 8
 _PEAK_REFINE_POINTS = 9
@@ -424,45 +424,46 @@ def _trig_sum_max(const: np.ndarray, coef: np.ndarray, omega: np.ndarray,
     """Row-wise max over [0, t] of P(s) = const + coef @ cos(omega s).
 
     P is sampled on a grid of ``_PEAK_SAMPLES_PER_PERIOD`` points per fastest
-    period, in chunks whose cosine block has ``_PEAK_BLOCK`` entries.  Each local maximum of the grid
-    is ranked by the vertex of the parabola through it and its neighbours,
-    capped at M2 dt^2 / 8 above the sample: |P''| <= M2 = sum |coef| omega^2,
-    and P' = 0 at an interior maximum, so P rises no more than that within
-    half a step.  The ``_PEAK_CANDIDATES`` best of each row are refined by
-    successive grid zooms over +-dt.  Every refined value is a value of P, so
-    the result never exceeds the true maximum.
+    period, in chunks whose cosine block has about ``_PEAK_BLOCK`` entries.
+    Each local maximum of the grid is ranked by the vertex of the parabola
+    through it and its neighbours, capped at M2 dt^2 / 8 above the sample:
+    |P''| <= M2 = sum |coef| omega^2 and P' = 0 at an interior maximum, so P
+    rises no more than that within half a step.  The best-ranked maximum of
+    each chunk competes for ``_PEAK_CANDIDATES`` places per row, and those
+    are refined by successive grid zooms over +-dt.  Every refined value is
+    a value of P, so the result never exceeds the true maximum.
     """
-    rows = const.size
+    rows = np.arange(const.size)
     fastest = float(np.max(np.abs(omega), initial=0.0))
     if t == 0.0 or fastest == 0.0:
         return const + coef.sum(axis=1)
-    samples = max(3, math.ceil(t * fastest * _PEAK_SAMPLES_PER_PERIOD / (2.0 * math.pi)) + 1)
+    samples = max(2, math.ceil(t * fastest * _PEAK_SAMPLES_PER_PERIOD / (2.0 * math.pi)) + 1)
     dt = t / (samples - 1)
     slack = (np.abs(coef) @ omega**2 * dt**2 / 8.0)[:, None]
     chunk = max(64, _PEAK_BLOCK // omega.size)
-    best = np.full(rows, -np.inf)
-    top_rank = np.full((rows, _PEAK_CANDIDATES), -np.inf)
-    top_at = np.zeros((rows, _PEAK_CANDIDATES))
+    cosines = np.empty((omega.size, chunk + 2))
+    best = np.full(rows.size, -np.inf)
+    top_rank = np.full((rows.size, _PEAK_CANDIDATES), -np.inf)
+    top_at = np.zeros((rows.size, _PEAK_CANDIDATES))
     for start in range(0, samples, chunk):
-        # one sample either side of the chunk, so its edges have neighbours
-        index = np.arange(max(start - 1, 0), min(start + chunk + 1, samples))
-        values = const[:, None] + coef @ np.cos(np.outer(omega, index * dt))
-        best = np.maximum(best, values.max(axis=1))
-        padded = np.pad(values, ((0, 0), (1, 1)), constant_values=-np.inf)
-        left, right = padded[:, :-2], padded[:, 2:]
-        own = (index >= start) & (index < start + chunk)
-        is_peak = (values >= left) & (values >= right) & own
-        inner = np.isfinite(left) & np.isfinite(right)
-        left, right = np.where(inner, left, values), np.where(inner, right, values)
-        curvature = np.maximum(2.0 * values - left - right, np.finfo(float).tiny)
-        rise = np.minimum((right - left) ** 2 / (8.0 * curvature), slack)
-        rank = np.concatenate([top_rank, np.where(is_peak, values + rise, -np.inf)], axis=1)
-        at = np.concatenate([top_at, np.broadcast_to(index * dt, values.shape)], axis=1)
-        pick = np.argpartition(rank, -_PEAK_CANDIDATES, axis=1)[:, -_PEAK_CANDIDATES:]
-        top_rank = np.take_along_axis(rank, pick, axis=1)
-        top_at = np.take_along_axis(at, pick, axis=1)
+        # one sample either side of the chunk, as neighbours only
+        index = np.arange(start - 1, min(start + chunk, samples) + 1)
+        block = cosines[:, :index.size]
+        np.cos(np.multiply.outer(omega, index * dt, out=block), out=block)
+        values = const[:, None] + np.einsum("rj,jk->rk", coef, block)
+        left, mid, right = values[:, :-2], values[:, 1:-1], values[:, 2:]
+        best = np.maximum(best, mid.max(axis=1))
+        curvature = np.maximum(2.0 * mid - left - right, np.finfo(float).tiny)
+        rank = np.where((mid >= left) & (mid >= right),
+                        mid + np.minimum((right - left) ** 2 / (8.0 * curvature), slack),
+                        -np.inf)
+        pick = rank.argmax(axis=1)
+        worst = top_rank.argmin(axis=1)
+        better = rank[rows, pick] > top_rank[rows, worst]
+        top_rank[rows[better], worst[better]] = rank[rows[better], pick[better]]
+        top_at[rows[better], worst[better]] = index[1 + pick[better]] * dt
 
-    row = np.repeat(np.arange(rows), _PEAK_CANDIDATES)
+    row = np.repeat(rows, _PEAK_CANDIDATES)
     centre = top_at.reshape(-1)
     offsets = np.linspace(-1.0, 1.0, _PEAK_REFINE_POINTS)
     half = dt
@@ -473,7 +474,7 @@ def _trig_sum_max(const: np.ndarray, coef: np.ndarray, omega: np.ndarray,
         pick = values.argmax(axis=1)
         centre = at[np.arange(row.size), pick]
         half *= 2.0 / (_PEAK_REFINE_POINTS - 1)
-    refined = values[np.arange(row.size), pick].reshape(rows, _PEAK_CANDIDATES)
+    refined = values[np.arange(row.size), pick].reshape(rows.size, _PEAK_CANDIDATES)
     return np.maximum(best, refined.max(axis=1))
 
 
