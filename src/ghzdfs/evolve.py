@@ -34,7 +34,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .hilbert import Level, Role, StateVector, vector_norm
 from .operators import CouplingParams, OperatorMatrix, OscillatingHamiltonian, \
-    dispersive_positions
+    _dispersive_positions, dispersive_positions
 
 _NORM_DRIFT_TOL = 1e-8
 
@@ -235,10 +235,8 @@ class _HoldLayout:
     def of(cls, psi: StateVector, *, forward: bool) -> "_HoldLayout":
         space = psi.space
         ndim = space.size
-        ops = tuple(psi.axis(p) for p in dispersive_positions(space)
-                    if space.subsystems[p].role is Role.OPERATION)
-        mems = tuple(psi.axis(p) for p in dispersive_positions(space)
-                     if space.subsystems[p].role is not Role.OPERATION)
+        ops, mems = (tuple(psi.axis(p) for p in group)
+                     for group in _dispersive_positions(space))
         cavity_axis = psi.axis(space.cavity)
         tensor = psi.as_tensor()
         probs = np.abs(tensor) ** 2
@@ -397,22 +395,19 @@ def dispersive_f_peaks(params: CouplingParams, t: float, psi: StateVector) -> di
 
     weights = np.abs(layout.tensor[layout.block(1)]) ** 2
     group = np.broadcast_to(layout.k_op * (n_mem + 1) + layout.k_mem, weights.shape)
-    k_of_group = (np.repeat(np.arange(n_op + 1), n_mem + 1), np.tile(np.arange(n_mem + 1), n_op + 1))
+    k_of_group = np.divmod(np.arange(groups), n_mem + 1)
     positions, consts, coefs = [], [], []
-    for axes, i, k in ((layout.op_axes, 1, k_of_group[0]), (layout.mem_axes, 2, k_of_group[1])):
+    for i, axes in ((1, layout.op_axes), (2, layout.mem_axes)):
         amp = vecs[:, i, :] * vecs[:, 0, :]  # U_i0(s) = sum_j amp_j e^{-i E_j s}
-        per_k = _inverse_sqrt(k) ** 2
+        per_k = _inverse_sqrt(k_of_group[i - 1]) ** 2
         const = per_k * np.sum(amp**2, axis=1)
-        cosine = np.tile(per_k, len(pairs)) * np.concatenate(
-            [2.0 * amp[:, a] * amp[:, b] for a, b in pairs])
+        cosine = np.concatenate([2.0 * per_k * amp[:, a] * amp[:, b] for a, b in pairs])
         for axis in axes:
             w = np.bincount(group[layout.excited(axis)].ravel(),
                             weights=weights[layout.excited(axis)].ravel(), minlength=groups)
             positions.append(space.size - 1 - axis)
             consts.append(w @ const)
             coefs.append(np.tile(w, len(pairs)) * cosine)
-    if not positions:
-        return {}
     coef = np.array(coefs)
     live = np.any(coef != 0.0, axis=0)
     peaks = _trig_sum_max(np.array(consts), coef[:, live], omega[live], t)
