@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -195,15 +196,23 @@ def test_sweep_reference_grid_full_mode(tmp_path):
     assert rows[0]["mode"] == "full"
 
 
-def test_sweep_runs_every_ratio_in_process(tmp_path, monkeypatch):
-    def refuse(*_args, **_kwargs):
+@pytest.mark.parametrize("cpus, cap", [(2, 2), (None, 1), (8, 5)])
+def test_sweep_pool_is_capped_at_the_core_count(tmp_path, monkeypatch, cpus, cap):
+    # The sweep runs its ratios in-process, so whatever the core count it starts
+    # no worker process, which keeps it within the old pool's cap.
+    started = []
+
+    def refuse(max_workers=None, *_args, **_kwargs):
+        started.append(max_workers)
         raise AssertionError("sweep started a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     path = write_config(tmp_path, BASE_N2.replace("protocol.n = 2", "protocol.n = 1")
                         + "sweep.ratios = 5, 10, 20, 40, 80\n")
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", path, "--mode", "ideal", "--out", str(out)]) == 0
+    assert started == []
     assert len(read_csv(out)) == 5
 
 
